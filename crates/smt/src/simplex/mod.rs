@@ -152,6 +152,19 @@ pub struct DebugTimers {
     pub iterations: u64,
 }
 
+impl DebugTimers {
+    /// The time and iterations accumulated since `entry` was read.
+    pub(crate) fn since(&self, entry: &DebugTimers) -> DebugTimers {
+        DebugTimers {
+            repair: self.repair.saturating_sub(entry.repair),
+            scan: self.scan.saturating_sub(entry.scan),
+            pivot: self.pivot.saturating_sub(entry.pivot),
+            factor: self.factor.saturating_sub(entry.factor),
+            iterations: self.iterations.saturating_sub(entry.iterations),
+        }
+    }
+}
+
 /// Backend-independent solver state: the candidate assignment, bounds,
 /// original constraint rows, atom bindings and counters. Both tableau
 /// engines operate on this through a mutable borrow, keeping the abstract

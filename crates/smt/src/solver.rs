@@ -4,42 +4,44 @@
 //! [`Solver::pop`] scoping, and [`Solver::check`] decides their conjunction
 //! over QF_LRA.
 //!
-//! # Incremental reuse
+//! # One check routine, two cores
 //!
-//! [`Solver::check`] reuses work across the assertion stack without ever
-//! reusing solver *search* state: the assertions below the first open scope
-//! (the "base") are encoded once into a cached, never-solved
-//! CDCL/simplex/encoder trio, and each check clones that trio and encodes
-//! only the scoped deltas into the clone before solving it. The
-//! push/pop-heavy campaign pattern (assert the grid constraints once, push
-//! a per-variant delta, check, pop) thus pays base encoding once per solver
-//! instead of once per check, while learned clauses, theory state and
-//! proof-log steps stay strictly per-check — popping a scope can never leak
-//! retracted constraints or out-of-scope proof steps into later answers. A
-//! [`Solver::pop`] that retracts assertions the cache has already encoded
-//! (possible only when certification levels changed mid-stack) drains the
-//! cache entirely.
+//! Every check runs one routine — lint preamble, encoding, search, stats,
+//! certification, model extraction — on a CDCL/simplex/encoder core. The
+//! entry points differ only in which core they hand it:
 //!
-//! [`Solver::check_assuming`] goes further: it solves on a single
-//! *persistent* core that lives across checks, so learned clauses, variable
-//! activity, saved phases and the simplex basis all carry over. Scoped
-//! assertions are guarded by per-scope activation literals (assumed true
-//! while the scope is open); a pop retires the scope by asserting the
-//! guard's negation as a root unit and hard-deleting every clause that
-//! carries it — including learned clauses derived under the scope — so
-//! retracted constraints can never resurface in an answer or a replayed
-//! proof. [`Solver::set_incremental`] (default on) switches
-//! `check_assuming` back to the clone-per-check path for A/B comparison;
-//! `check` itself always uses the clone path, keeping its answers and
-//! metrics identical in both modes.
+//! - [`Solver::check`] solves a *throwaway clone* of a never-solved
+//!   template. The template holds the assertions below the first open
+//!   scope (the "base"), encoded once and extended as the base grows; each
+//!   check clones it, encodes only the scoped deltas into the clone and
+//!   solves the clone. The push/pop-heavy campaign pattern (assert the
+//!   grid constraints once, push a per-variant delta, check, pop) thus
+//!   pays base encoding once per solver instead of once per check, while
+//!   learned clauses, theory state and proof-log steps stay strictly
+//!   per-check: a `check` answer never depends on what the solver did
+//!   before it. A [`Solver::pop`] that retracts assertions the template
+//!   has already encoded (possible only when certification levels changed
+//!   mid-stack) drops the template.
+//! - [`Solver::check_assuming`] solves the *persistent* core in place, so
+//!   learned clauses, variable activity, saved phases and the simplex
+//!   basis carry over between checks. Scoped assertions are guarded by
+//!   per-scope activation literals (assumed true while the scope is open);
+//!   a pop retires the scope by asserting the guard's negation as a root
+//!   unit and hard-deleting every clause that carries it — including
+//!   learned clauses derived under the scope — so retracted constraints
+//!   can never resurface in an answer or a replayed proof.
+//!   [`Solver::set_incremental`] (default on) switches `check_assuming` to
+//!   the throwaway clone for A/B comparison; `check` never touches the
+//!   persistent core, keeping its answers and metrics identical in both
+//!   modes.
 //!
 //! Checks accept a [`Budget`]: deadlines and cooperative cancellation are
-//! polled at every phase — Tseitin/cardinality encoding (including base
-//! extension), the CDCL decision and conflict loops, and simplex pivoting —
-//! surfacing as [`SatResult::Unknown`] instead of hanging. An interrupt
-//! during base extension drains the cache (the half-encoded assertion
-//! would poison the template); an interrupt while encoding scoped deltas
-//! only discards the per-check clone.
+//! polled at every phase — Tseitin/cardinality encoding (including
+//! template extension), the CDCL decision and conflict loops, and simplex
+//! pivoting — surfacing as [`SatResult::Unknown`] instead of hanging. An
+//! interrupt mid-encode drops the core it was encoding into, since the
+//! half-encoded assertion would poison it: the template or the persistent
+//! core (the next check rebuilds it), or just the per-check clone.
 //!
 //! # Examples
 //!
@@ -65,8 +67,8 @@ use crate::formula::{BoolVar, Formula};
 use crate::lint::{self, LintReport, Severity};
 use crate::profile::{Clock, Profiler};
 use crate::rational::Rational;
-use crate::sat::{CdclSolver, LBool, Lit, SatOutcome};
-use crate::simplex::{Simplex, SimplexMode};
+use crate::sat::{CdclSolver, LBool, Lit, SatCounters, SatOutcome};
+use crate::simplex::{DebugTimers, Simplex, SimplexMode};
 use crate::stats::SolverStats;
 use std::fmt;
 
@@ -167,25 +169,7 @@ impl fmt::Display for UsageError {
 
 impl std::error::Error for UsageError {}
 
-/// The cached base encoding: the assertion-stack prefix below the first
-/// open scope, encoded into a CDCL/simplex/encoder trio that is *never*
-/// solved. Checks clone it and solve the clone (see the module docs).
-#[derive(Debug, Clone)]
-struct BaseEncoding {
-    sat: CdclSolver,
-    simplex: Simplex,
-    encoder: Encoder,
-    /// Leading assertions already encoded (`assertions[..encoded]`).
-    encoded: usize,
-    /// Problem reals materialized into the tableau so far.
-    reals: u32,
-    /// Whether proof logging was on when the base was built; a mismatch
-    /// with the current certification level forces a rebuild, since proofs
-    /// must log the complete original CNF.
-    proof: bool,
-}
-
-/// How the live core guards one open assertion scope.
+/// How the persistent core guards one open assertion scope.
 #[derive(Debug, Clone, Copy)]
 enum ScopeGuard {
     /// A [`Solver::push`] scope none of whose assertions have been encoded
@@ -201,16 +185,11 @@ enum ScopeGuard {
     Sticky,
 }
 
-/// The persistent incremental core behind [`Solver::check_assuming`]: one
-/// CDCL/simplex/encoder trio solved *in place* across checks, so learned
-/// clauses, variable activity, saved phases and the warm simplex basis all
-/// carry over. Scoped assertions are guarded by per-scope activation
-/// literals; popped scopes are retired lazily at the next check's preamble
-/// (root unit `¬act` plus hard deletion of every clause carrying `¬act`).
-/// Sticky scopes skip the guard — and the core — instead (see
-/// [`ScopeGuard`]).
-#[derive(Debug)]
-struct LiveCore {
+/// A CDCL/simplex/encoder trio with its encode cursors: either the
+/// never-solved template behind [`Solver::check`] or the persistent core
+/// behind [`Solver::check_assuming`] (see the module docs).
+#[derive(Debug, Clone)]
+struct Core {
     sat: CdclSolver,
     simplex: Simplex,
     encoder: Encoder,
@@ -218,13 +197,143 @@ struct LiveCore {
     encoded: usize,
     /// Problem reals materialized into the tableau so far.
     reals: u32,
-    /// Per-open-scope guards, parallel to `Solver::scopes`.
+    /// Per-open-scope guards, parallel to `Solver::scopes` (persistent
+    /// core only; the template never encodes a scoped assertion).
     scope_guards: Vec<ScopeGuard>,
     /// Activation literals of popped scopes awaiting retirement.
     retired: Vec<Lit>,
     /// Whether proof logging was on when the core was built; a mismatch
-    /// with the current certification level forces a rebuild.
+    /// with the current certification level forces a rebuild, since proofs
+    /// must log the complete original CNF.
     proof: bool,
+}
+
+impl Core {
+    fn new(mode: SimplexMode, proof: bool, scope_guards: Vec<ScopeGuard>) -> Self {
+        let mut sat = CdclSolver::new();
+        if proof {
+            sat.enable_proof();
+        }
+        Core {
+            sat,
+            simplex: Simplex::with_mode(mode),
+            encoder: Encoder::new(),
+            encoded: 0,
+            reals: 0,
+            scope_guards,
+            retired: Vec::new(),
+            proof,
+        }
+    }
+
+    /// The check preamble on the core: return to the root level (a solved
+    /// core may hold the previous check's trail, or a mid-search trail if
+    /// that check was interrupted), retire popped scopes, and materialize
+    /// every declared real so models cover them. A root unit `¬act`
+    /// permanently satisfies every clause the popped scope guarded, and the
+    /// hard delete removes those clauses plus every learned clause derived
+    /// under the scope (each carries `¬act`), so retracted constraints
+    /// cannot resurface in answers or replayed proofs. Returns the number
+    /// of clauses deleted.
+    fn rewind(&mut self, n_reals: u32) -> u64 {
+        self.sat.reset_to_root(&mut self.simplex);
+        let mut deleted = 0u64;
+        for act in std::mem::take(&mut self.retired) {
+            self.sat.add_clause(vec![!act]);
+            deleted += self.sat.purge_literal(!act);
+        }
+        for i in self.reals..n_reals {
+            self.simplex.solver_var(RealVar(i));
+        }
+        self.reals = n_reals;
+        deleted
+    }
+
+    /// Extends the encoding over `assertions[self.encoded..end]` under
+    /// `budget` (the encoder polls it, so a huge Tseitin/cardinality
+    /// expansion cannot blow past a deadline before the search loop ever
+    /// polls). Assertions in open scope `k` of `scopes` get that scope's
+    /// activation guard; base and sticky-scope assertions — and everything,
+    /// when `scopes` is empty — are encoded unguarded.
+    fn encode(
+        &mut self,
+        assertions: &[Formula],
+        end: usize,
+        scopes: &[usize],
+        budget: &Budget,
+    ) -> Result<(), Interrupt> {
+        self.encoder.set_budget(budget.clone());
+        let mut result = Ok(());
+        while self.encoded < end {
+            let i = self.encoded;
+            let f = &assertions[i];
+            let scope = scopes.partition_point(|&mark| mark <= i);
+            let guard = if scope == 0 {
+                ScopeGuard::Sticky
+            } else {
+                let slot = &mut self.scope_guards[scope - 1];
+                if let ScopeGuard::Lazy = slot {
+                    *slot = ScopeGuard::Act(Lit::positive(self.sat.new_var()));
+                }
+                *slot
+            };
+            let outcome = match guard {
+                ScopeGuard::Sticky => self
+                    .encoder
+                    .assert_root(f, &mut self.sat, &mut self.simplex),
+                ScopeGuard::Act(act) => {
+                    self.encoder
+                        .assert_root_guarded(f, act, &mut self.sat, &mut self.simplex)
+                }
+                ScopeGuard::Lazy => unreachable!("lazy guards are resolved above"),
+            };
+            if let Err(why) = outcome {
+                result = Err(why);
+                break;
+            }
+            self.encoded += 1;
+        }
+        // Reset to unlimited so later unlimited checks reuse the core.
+        self.encoder.set_budget(Budget::unlimited());
+        result
+    }
+}
+
+/// Which core a check solves (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CorePolicy {
+    /// A throwaway clone of the template, with the scoped deltas encoded
+    /// unguarded into the clone; counters are reported from zero.
+    Throwaway,
+    /// The persistent core, with scoped assertions guarded; counters are
+    /// reported as deltas from the post-encode snapshot.
+    Persistent,
+}
+
+/// A core's cumulative counters at search entry. A check reports deltas
+/// from it: all-zero for a throwaway clone, the post-encode figures for
+/// the persistent core.
+#[derive(Debug, Default)]
+struct Snapshot {
+    sat: SatCounters,
+    pivots: u64,
+    bound_asserts: u64,
+    theory_checks: u64,
+    refactorizations: u64,
+    timers: DebugTimers,
+}
+
+impl Snapshot {
+    fn of(core: &Core) -> Self {
+        Snapshot {
+            sat: core.sat.counters(),
+            pivots: core.simplex.pivots(),
+            bound_asserts: core.simplex.bound_asserts(),
+            theory_checks: core.simplex.theory_checks(),
+            refactorizations: core.simplex.refactorizations(),
+            timers: core.simplex.debug_timers().clone(),
+        }
+    }
 }
 
 /// An SMT solver for Boolean combinations of linear real arithmetic.
@@ -243,15 +352,17 @@ pub struct Solver {
     last_stats: Option<SolverStats>,
     certify: CertifyLevel,
     budget: Budget,
-    base: Option<BaseEncoding>,
+    /// The never-solved template [`Solver::check`] clones; built lazily,
+    /// dropped on base-encode interrupts and mode/certification flips.
+    template: Option<Core>,
     /// Persistent core for [`Solver::check_assuming`]; built lazily,
     /// dropped on encode interrupts and mode/certification flips.
-    live: Option<LiveCore>,
+    live: Option<Core>,
     /// Whether `check_assuming` uses the persistent core (default) or
-    /// falls back to the clone-per-check path.
+    /// falls back to a throwaway clone of the template.
     incremental: bool,
     /// Which simplex engine checks use (see [`SimplexMode`]). Applied when
-    /// a base/live core is built; changing it drops both caches.
+    /// a core is built; changing it drops both cores.
     simplex_mode: SimplexMode,
     /// The single time source for every per-check wall clock in
     /// [`SolverStats`] (tests inject a fake; see [`crate::profile`]).
@@ -274,7 +385,7 @@ impl Default for Solver {
             last_stats: None,
             certify: CertifyLevel::default(),
             budget: Budget::default(),
-            base: None,
+            template: None,
             live: None,
             incremental: true,
             simplex_mode: SimplexMode::Auto,
@@ -345,13 +456,14 @@ impl Solver {
             return Err(UsageError::new("pop without matching push"));
         };
         self.assertions.truncate(mark);
-        // Drain the cached base if the pop retracted assertions it has
+        // Drop the template if the pop retracted assertions it has
         // encoded — its clause database and proof log would otherwise leak
         // out-of-scope constraints and proof steps into later checks. (The
-        // cache only ever covers the prefix below the first open scope, so
-        // this fires only on caches built before that scope was opened.)
-        if self.base.as_ref().is_some_and(|b| b.encoded > mark) {
-            self.base = None;
+        // template only ever covers the prefix below the first open scope,
+        // so this fires only on templates built before that scope was
+        // opened.)
+        if self.template.as_ref().is_some_and(|t| t.encoded > mark) {
+            self.template = None;
         }
         self.sticky.pop();
         let mut drop_core = false;
@@ -392,7 +504,7 @@ impl Solver {
     }
 
     /// Chooses between the persistent incremental core (the default) and
-    /// the clone-per-check fallback for [`Solver::check_assuming`].
+    /// a throwaway clone of the template for [`Solver::check_assuming`].
     /// Turning the mode off drops any live core; [`Solver::check`] is
     /// unaffected either way.
     pub fn set_incremental(&mut self, on: bool) {
@@ -412,13 +524,13 @@ impl Solver {
     /// tableau crosses the size threshold, `Dense`/`Revised` pin one
     /// backend. Both engines replay identical pivot trajectories over
     /// exact rationals, so answers, models and deterministic counters do
-    /// not depend on the mode. Changing the mode drops the cached base
-    /// encoding and the live incremental core (they embed a simplex built
-    /// in the old mode).
+    /// not depend on the mode. Changing the mode drops the template and
+    /// the live incremental core (they embed a simplex built in the old
+    /// mode).
     pub fn set_simplex_mode(&mut self, mode: SimplexMode) {
         if self.simplex_mode != mode {
             self.simplex_mode = mode;
-            self.base = None;
+            self.template = None;
             self.live = None;
         }
     }
@@ -512,247 +624,7 @@ impl Solver {
     /// (or `Full`), a `sat` answer's model is re-evaluated against every
     /// original assertion with exact arithmetic.
     pub fn check_certified(&mut self) -> Result<SatResult, CertifyError> {
-        // One clock read per timing boundary, with every interval derived
-        // from those reads — never a second `elapsed()` for the same
-        // boundary, so the intervals in one stats row are consistent
-        // (encode + search never exceeds solve).
-        let start = self.clock.now();
-        let prof = self.profiler.clone();
-        let full = self.certify >= CertifyLevel::Full;
-        let mut lint_report = LintReport::new();
-        if full {
-            lint_report = self.lint();
-            if lint_report.has_errors() {
-                return Err(CertifyError::new(format!(
-                    "lint errors in deny mode:\n{lint_report}"
-                )));
-            }
-        }
-        // Base cache maintenance: rebuild on a proof-enablement change,
-        // otherwise extend it over any new below-scope assertions. Only the
-        // prefix below the first open scope is ever cached, so scoped
-        // deltas never enter the template.
-        let base_limit = self.scopes.first().copied().unwrap_or(self.assertions.len());
-        if self.base.as_ref().is_some_and(|b| b.proof != full) {
-            self.base = None;
-        }
-        let cache_hit = self.base.is_some();
-        let mode = self.simplex_mode;
-        let base = self.base.get_or_insert_with(|| {
-            let mut sat = CdclSolver::new();
-            if full {
-                sat.enable_proof();
-            }
-            BaseEncoding {
-                sat,
-                simplex: Simplex::with_mode(mode),
-                encoder: Encoder::new(),
-                encoded: 0,
-                reals: 0,
-                proof: full,
-            }
-        });
-        // Materialize every declared real variable so models cover them and
-        // the clone sees a stable tableau layout.
-        for i in base.reals..self.n_reals {
-            base.simplex.solver_var(RealVar(i));
-        }
-        base.reals = self.n_reals;
-        // The encoder honors the budget: a huge Tseitin/cardinality
-        // expansion must not blow past the deadline before the search loop
-        // ever polls. The base template is encoded under the budget and
-        // reset to unlimited afterwards so later unlimited checks reuse it.
-        let sp_encode = prof.as_ref().map(|p| p.span("encode"));
-        base.encoder.set_budget(self.budget.clone());
-        let mut base_interrupt = None;
-        {
-            let _sp_base = prof.as_ref().map(|p| p.span("base"));
-            while base.encoded < base_limit {
-                let f = &self.assertions[base.encoded];
-                if let Err(why) = base.encoder.assert_root(f, &mut base.sat, &mut base.simplex) {
-                    base_interrupt = Some(why);
-                    break;
-                }
-                base.encoded += 1;
-            }
-        }
-        base.encoder.set_budget(Budget::unlimited());
-        if let Some(why) = base_interrupt {
-            // The interrupted assertion is half-encoded into the template —
-            // drop the cache so the next check rebuilds it cleanly.
-            self.base = None;
-            let mut stats = SolverStats::default();
-            stats.bool_vars = self.n_bools as usize;
-            stats.real_vars = self.n_reals as usize;
-            stats.assertions = self.assertions.len();
-            stats.base_cache_hit = cache_hit;
-            stats.lint_errors = lint_report.count(Severity::Error);
-            stats.lint_warnings = lint_report.count(Severity::Warning);
-            stats.lint_infos = lint_report.count(Severity::Info);
-            // The whole check was encoding; one clock read covers both.
-            stats.encode_time = self.clock.now().saturating_sub(start);
-            stats.solve_time = stats.encode_time;
-            self.last_stats = Some(stats);
-            return Ok(SatResult::Unknown(why));
-        }
-        // Per-check clone: scoped deltas are encoded into it and it alone
-        // is solved, keeping learned clauses, theory state and proof steps
-        // isolated to this check.
-        let mut sat = base.sat.clone();
-        let mut simplex = base.simplex.clone();
-        let mut encoder = base.encoder.clone();
-        encoder.set_budget(self.budget.clone());
-        let mut delta_interrupt = None;
-        {
-            let _sp_delta = prof.as_ref().map(|p| p.span("delta"));
-            for f in &self.assertions[base_limit..] {
-                if let Err(why) = encoder.assert_root(f, &mut sat, &mut simplex) {
-                    delta_interrupt = Some(why);
-                    break;
-                }
-            }
-        }
-        if let Some(why) = delta_interrupt {
-            // Only the clone saw the partial delta; the base stays valid.
-            let mut stats = SolverStats::default();
-            stats.bool_vars = self.n_bools as usize;
-            stats.real_vars = self.n_reals as usize;
-            stats.assertions = self.assertions.len();
-            stats.sat_vars = sat.num_vars();
-            stats.clauses = encoder.clauses;
-            stats.clause_lits = encoder.clause_lits;
-            stats.atoms = encoder.num_atoms();
-            stats.base_cache_hit = cache_hit;
-            stats.lint_errors = lint_report.count(Severity::Error);
-            stats.lint_warnings = lint_report.count(Severity::Warning);
-            stats.lint_infos = lint_report.count(Severity::Info);
-            stats.encode_time = self.clock.now().saturating_sub(start);
-            stats.solve_time = stats.encode_time;
-            self.last_stats = Some(stats);
-            return Ok(SatResult::Unknown(why));
-        }
-        drop(sp_encode);
-        if full {
-            // Encoding-level pass (duplicate / subsumed clauses) over the
-            // clause database before any learning happens.
-            lint_report.merge(lint::lint_clauses(&sat.clause_list()));
-        }
-        sat.set_budget(self.budget.clone());
-        simplex.set_budget(self.budget.clone());
-        if self.progress {
-            sat.enable_progress(self.clock.clone());
-        }
-        if prof.is_some() {
-            // The per-check clone starts from the never-solved base, so
-            // its timers accumulate exactly this check's simplex work.
-            simplex.enable_timing();
-        }
-        let encode_done = self.clock.now();
-        let outcome = {
-            let _sp_search = prof.as_ref().map(|p| p.span("search"));
-            let outcome = sat.solve(&mut simplex);
-            if let Some(p) = &prof {
-                let t = &simplex.debug_timers();
-                p.record_leaf("simplex", t.repair + t.scan + t.pivot, t.iterations);
-                if simplex.refactorizations() > 0 {
-                    p.record_leaf("simplex-factor", t.factor, simplex.refactorizations());
-                }
-            }
-            outcome
-        };
-        let search_done = self.clock.now();
-        let search_time = search_done.saturating_sub(encode_done);
-        if std::env::var_os("STA_SMT_DEBUG").is_some() {
-            let t = &simplex.debug_timers();
-            eprintln!(
-                "[sta-smt] encode {:.2?} search {:.2?} | simplex repair {:.2?} \
-                 scan {:.2?} pivot {:.2?} iters {}",
-                encode_done.saturating_sub(start),
-                search_time,
-                t.repair,
-                t.scan,
-                t.pivot,
-                t.iterations,
-            );
-        }
-        let counters = sat.counters();
-        let progress = sat.take_progress();
-        let mut stats = SolverStats {
-            bool_vars: self.n_bools as usize,
-            real_vars: self.n_reals as usize,
-            assertions: self.assertions.len(),
-            sat_vars: sat.num_vars(),
-            clauses: encoder.clauses,
-            clause_lits: encoder.clause_lits,
-            atoms: encoder.num_atoms(),
-            simplex_vars: simplex.num_vars(),
-            simplex_rows: simplex.num_rows(),
-            tableau_entries: simplex.tableau_entries(),
-            pivots: simplex.pivots(),
-            refactorizations: simplex.refactorizations(),
-            decisions: counters.decisions,
-            propagations: counters.propagations,
-            conflicts: counters.conflicts,
-            theory_conflicts: counters.theory_conflicts,
-            restarts: counters.restarts,
-            learned_clauses: counters.learned_clauses,
-            clause_db: sat.num_clauses() as u64,
-            bound_asserts: simplex.bound_asserts(),
-            theory_checks: simplex.theory_checks(),
-            retained_clauses: 0,
-            deleted_clauses: 0,
-            warm_pivots_saved: 0,
-            base_cache_hit: cache_hit,
-            proof_steps: 0,
-            certified: false,
-            lint_errors: lint_report.count(Severity::Error),
-            lint_warnings: lint_report.count(Severity::Warning),
-            lint_infos: lint_report.count(Severity::Info),
-            solve_time: search_done.saturating_sub(start),
-            encode_time: encode_done.saturating_sub(start),
-            search_time,
-            progress,
-        };
-        let result = match outcome {
-            SatOutcome::Unsat => {
-                if full {
-                    let _sp_certify = prof.as_ref().map(|p| p.span("certify"));
-                    let proof = sat
-                        .take_proof()
-                        .ok_or_else(|| CertifyError::new("proof logging produced no proof"))?;
-                    stats.proof_steps = proof.num_derivations() as u64;
-                    check_unsat_proof(&proof, &simplex.certificate_context())?;
-                    stats.certified = true;
-                }
-                SatResult::Unsat
-            }
-            SatOutcome::Sat => {
-                let reals = simplex.concrete_model();
-                let bools: Vec<bool> = (0..self.n_bools)
-                    .map(|i| match encoder.lookup_bool(BoolVar(i)) {
-                        Some(v) => sat.value(v) == LBool::True,
-                        None => false,
-                    })
-                    .collect();
-                if self.certify >= CertifyLevel::CheckModels {
-                    let _sp_certify = prof.as_ref().map(|p| p.span("certify"));
-                    for f in &self.assertions {
-                        if !eval_formula(f, &bools, &reals) {
-                            return Err(CertifyError::new(format!(
-                                "model does not satisfy asserted formula {f}"
-                            )));
-                        }
-                    }
-                    stats.certified = true;
-                }
-                SatResult::Sat(Model { bools, reals })
-            }
-            SatOutcome::Unknown(why) => SatResult::Unknown(why),
-        };
-        // Final wall clock includes certification; still one read.
-        stats.solve_time = self.clock.now().saturating_sub(start);
-        self.last_stats = Some(stats);
-        Ok(result)
+        self.solve(CorePolicy::Throwaway, &[])
     }
 
     /// Decides satisfiability of the asserted conjunction together with a
@@ -762,8 +634,8 @@ impl Solver {
     /// In incremental mode (the default, see [`Solver::set_incremental`])
     /// this solves on a persistent core that carries learned clauses,
     /// branching heuristics and the simplex basis across calls; with the
-    /// mode off it expresses the assumptions as a scoped delta and runs
-    /// the clone-per-check path, which is answer-equivalent.
+    /// mode off it expresses the assumptions as a scoped delta and solves
+    /// a throwaway clone like [`Solver::check`], which is answer-equivalent.
     ///
     /// # Panics
     /// Panics if certification is enabled and the answer fails to certify —
@@ -798,14 +670,21 @@ impl Solver {
             debug_assert!(popped.is_ok());
             return result;
         }
-        self.check_assuming_live(assumptions)
+        self.solve(CorePolicy::Persistent, assumptions)
     }
 
-    /// The persistent-core solve path behind [`Solver::check_assuming`].
-    fn check_assuming_live(
+    /// The one check routine behind [`Solver::check_certified`] and
+    /// [`Solver::check_assuming_certified`]; `policy` picks the core it
+    /// solves (see the module docs).
+    fn solve(
         &mut self,
+        policy: CorePolicy,
         assumptions: &[(BoolVar, bool)],
     ) -> Result<SatResult, CertifyError> {
+        // One clock read per timing boundary, with every interval derived
+        // from those reads — never a second `elapsed()` for the same
+        // boundary, so the intervals in one stats row are consistent
+        // (encode + search never exceeds solve).
         let start = self.clock.now();
         let prof = self.profiler.clone();
         let full = self.certify >= CertifyLevel::Full;
@@ -818,138 +697,98 @@ impl Solver {
                 )));
             }
         }
-        // A certification flip invalidates the core: proofs must log the
-        // complete original CNF from the first clause on.
-        if self.live.as_ref().is_some_and(|c| c.proof != full) {
-            self.live = None;
-        }
-        let core_reused = self.live.is_some();
-        let n_scopes = self.scopes.len();
-        // Scopes already open when the core is first built keep their
-        // declared kind: sticky ones encode unguarded from the start.
-        let initial_guards: Vec<ScopeGuard> = self
-            .sticky
-            .iter()
-            .map(|&s| if s { ScopeGuard::Sticky } else { ScopeGuard::Lazy })
-            .collect();
-        let mode = self.simplex_mode;
-        let live = self.live.get_or_insert_with(|| {
-            let mut sat = CdclSolver::new();
-            if full {
-                sat.enable_proof();
-            }
-            LiveCore {
-                sat,
-                simplex: Simplex::with_mode(mode),
-                encoder: Encoder::new(),
-                encoded: 0,
-                reals: 0,
-                scope_guards: initial_guards,
-                retired: Vec::new(),
-                proof: full,
-            }
-        });
-        debug_assert_eq!(live.scope_guards.len(), n_scopes);
-        // Preamble: return the core to the root level (it may hold the
-        // previous check's trail, or a mid-search trail if that check was
-        // interrupted), then retire popped scopes — a root unit `¬act`
-        // permanently satisfies every clause the scope guarded, and the
-        // hard delete removes those clauses plus every learned clause
-        // derived under the scope (each carries `¬act`), so retracted
-        // constraints cannot resurface in answers or replayed proofs.
-        live.sat.reset_to_root(&mut live.simplex);
-        let mut deleted_clauses = 0u64;
-        for act in std::mem::take(&mut live.retired) {
-            live.sat.add_clause(vec![!act]);
-            deleted_clauses += live.sat.purge_literal(!act);
-        }
-        // Materialize every declared real so models cover them.
-        for i in live.reals..self.n_reals {
-            live.simplex.solver_var(RealVar(i));
-        }
-        live.reals = self.n_reals;
-        // Extend the encoding over assertions added (or re-added) since
-        // the last check. Base assertions (below the first open scope) are
-        // permanent; scoped ones get their scope's activation guard.
-        let sp_encode = prof.as_ref().map(|p| p.span("encode"));
-        live.encoder.set_budget(self.budget.clone());
-        let mut encode_interrupt = None;
-        {
-            let _sp_delta = prof.as_ref().map(|p| p.span("delta"));
-            while live.encoded < self.assertions.len() {
-                let i = live.encoded;
-                let f = &self.assertions[i];
-                let scope = self.scopes.partition_point(|&mark| mark <= i);
-                let guard = if scope == 0 {
-                    ScopeGuard::Sticky
-                } else {
-                    let slot = &mut live.scope_guards[scope - 1];
-                    if let ScopeGuard::Lazy = slot {
-                        *slot = ScopeGuard::Act(Lit::positive(live.sat.new_var()));
-                    }
-                    *slot
-                };
-                let outcome = match guard {
-                    // Base and sticky-scope assertions are permanent for
-                    // the core's lifetime: encode unguarded.
-                    ScopeGuard::Sticky => {
-                        live.encoder.assert_root(f, &mut live.sat, &mut live.simplex)
-                    }
-                    ScopeGuard::Act(act) => live
-                        .encoder
-                        .assert_root_guarded(f, act, &mut live.sat, &mut live.simplex),
-                    ScopeGuard::Lazy => unreachable!("lazy guards are resolved above"),
-                };
-                if let Err(why) = outcome {
-                    encode_interrupt = Some(why);
-                    break;
-                }
-                live.encoded += 1;
-            }
-        }
-        live.encoder.set_budget(Budget::unlimited());
-        drop(sp_encode);
-        if let Some(why) = encode_interrupt {
-            // The interrupted assertion is half-encoded into the core —
-            // drop it so the next check rebuilds cleanly from the stack.
-            self.live = None;
-            let mut stats = SolverStats::default();
-            stats.bool_vars = self.n_bools as usize;
-            stats.real_vars = self.n_reals as usize;
-            stats.assertions = self.assertions.len();
-            stats.lint_errors = lint_report.count(Severity::Error);
-            stats.lint_warnings = lint_report.count(Severity::Warning);
-            stats.lint_infos = lint_report.count(Severity::Info);
-            stats.encode_time = self.clock.now().saturating_sub(start);
-            stats.solve_time = stats.encode_time;
-            self.last_stats = Some(stats);
-            return Ok(SatResult::Unknown(why));
-        }
-        // Entry snapshots: the core's counters are cumulative across its
-        // lifetime, so per-check figures are deltas from here. What was
-        // already present *is* the warm-start payoff — learned clauses
-        // carried in, and pivots whose work the retained basis embodies.
-        let entry = live.sat.counters();
-        let entry_pivots = live.simplex.pivots();
-        let entry_bounds = live.simplex.bound_asserts();
-        let entry_checks = live.simplex.theory_checks();
-        let entry_refactors = live.simplex.refactorizations();
-        let retained_clauses = if core_reused { entry.learned_clauses } else { 0 };
-        live.sat.set_budget(self.budget.clone());
-        live.simplex.set_budget(self.budget.clone());
-        if self.progress {
-            live.sat.enable_progress(self.clock.clone());
-        }
-        let timers_entry = if prof.is_some() {
-            live.simplex.enable_timing();
-            live.simplex.debug_timers().clone()
+        // Take the policy's core out of the solver; a certification flip
+        // invalidates it, since proofs must log the complete original CNF
+        // from the first clause on. A core left out (by an encode
+        // interrupt) is rebuilt by the next check.
+        let persistent = policy == CorePolicy::Persistent;
+        let cached = if persistent {
+            self.live.take()
         } else {
-            Default::default()
+            self.template.take()
         };
+        let cached = cached.filter(|core| core.proof == full);
+        let reused = cached.is_some();
+        let mut core = cached.unwrap_or_else(|| {
+            // Scopes already open when the persistent core is first built
+            // keep their declared kind: sticky ones encode unguarded from
+            // the start. The template never encodes a scoped assertion.
+            let guards = if persistent {
+                let kind = |&s: &bool| {
+                    if s {
+                        ScopeGuard::Sticky
+                    } else {
+                        ScopeGuard::Lazy
+                    }
+                };
+                self.sticky.iter().map(kind).collect()
+            } else {
+                Vec::new()
+            };
+            Core::new(self.simplex_mode, full, guards)
+        });
+        debug_assert!(!persistent || core.scope_guards.len() == self.scopes.len());
+        let deleted_clauses = core.rewind(self.n_reals);
+        let sp_encode = prof.as_ref().map(|p| p.span("encode"));
+        if !persistent {
+            // Extend the template over the base (the prefix below the
+            // first open scope), then put it back and solve a clone, so
+            // the scoped deltas never enter the template.
+            let base_limit = self
+                .scopes
+                .first()
+                .copied()
+                .unwrap_or(self.assertions.len());
+            let encoded = {
+                let _sp_base = prof.as_ref().map(|p| p.span("base"));
+                core.encode(&self.assertions, base_limit, &[], &self.budget)
+            };
+            if let Err(why) = encoded {
+                return Ok(self.interrupted(start, &lint_report, reused, None, why));
+            }
+            // Solve the fresh clone, not the template: its allocations are
+            // laid out contiguously at clone time, which the theory-heavy
+            // search measurably prefers.
+            let clone = core.clone();
+            self.template = Some(std::mem::replace(&mut core, clone));
+        }
+        let scopes: &[usize] = if persistent { &self.scopes } else { &[] };
+        let encoded = {
+            let _sp_delta = prof.as_ref().map(|p| p.span("delta"));
+            core.encode(
+                &self.assertions,
+                self.assertions.len(),
+                scopes,
+                &self.budget,
+            )
+        };
+        drop(sp_encode);
+        if let Err(why) = encoded {
+            let clone = (!persistent).then_some(&core);
+            return Ok(self.interrupted(start, &lint_report, reused, clone, why));
+        }
+        if full && !persistent {
+            // Encoding-level pass (duplicate / subsumed clauses) over the
+            // clause database before any learning happens.
+            lint_report.merge(lint::lint_clauses(&core.sat.clause_list()));
+        }
+        let entry = if persistent {
+            Snapshot::of(&core)
+        } else {
+            Snapshot::default()
+        };
+        core.sat.set_budget(self.budget.clone());
+        core.simplex.set_budget(self.budget.clone());
+        if self.progress {
+            core.sat.enable_progress(self.clock.clone());
+        }
+        if prof.is_some() {
+            core.simplex.enable_timing();
+        }
         // Assumptions: every open guarded scope's activation literal
         // (sticky scopes are asserted, not assumed), then the caller's
         // Boolean assumptions.
-        let mut sat_assumptions: Vec<Lit> = live
+        let mut sat_assumptions: Vec<Lit> = core
             .scope_guards
             .iter()
             .filter_map(|g| match g {
@@ -958,70 +797,83 @@ impl Solver {
             })
             .collect();
         for &(v, positive) in assumptions {
-            let sv = live.encoder.sat_var_of_bool(v, &mut live.sat);
+            let sv = core.encoder.sat_var_of_bool(v, &mut core.sat);
             sat_assumptions.push(Lit::with_polarity(sv, positive));
         }
         let encode_done = self.clock.now();
-        let outcome = {
+        let (outcome, timers, refactors) = {
             let _sp_search = prof.as_ref().map(|p| p.span("search"));
-            let outcome = live
+            let outcome = core
                 .sat
-                .solve_under_assumptions(&sat_assumptions, &mut live.simplex);
+                .solve_under_assumptions(&sat_assumptions, &mut core.simplex);
+            let timers = core.simplex.debug_timers().since(&entry.timers);
+            let refactors = core
+                .simplex
+                .refactorizations()
+                .saturating_sub(entry.refactorizations);
             if let Some(p) = &prof {
-                let t = &live.simplex.debug_timers();
-                p.record_leaf(
-                    "simplex",
-                    (t.repair + t.scan + t.pivot).saturating_sub(
-                        timers_entry.repair + timers_entry.scan + timers_entry.pivot,
-                    ),
-                    t.iterations.saturating_sub(timers_entry.iterations),
-                );
-                let refactors =
-                    live.simplex.refactorizations().saturating_sub(entry_refactors);
+                let simplex_time = timers.repair + timers.scan + timers.pivot;
+                p.record_leaf("simplex", simplex_time, timers.iterations);
                 if refactors > 0 {
-                    p.record_leaf(
-                        "simplex-factor",
-                        t.factor.saturating_sub(timers_entry.factor),
-                        refactors,
-                    );
+                    p.record_leaf("simplex-factor", timers.factor, refactors);
                 }
             }
-            outcome
+            (outcome, timers, refactors)
         };
         let search_done = self.clock.now();
-        let counters = live.sat.counters();
-        let progress = live.sat.take_progress();
+        let search_time = search_done.saturating_sub(encode_done);
+        if std::env::var_os("STA_SMT_DEBUG").is_some() {
+            eprintln!(
+                "[sta-smt] encode {:.2?} search {:.2?} | simplex repair {:.2?} \
+                 scan {:.2?} pivot {:.2?} iters {}",
+                encode_done.saturating_sub(start),
+                search_time,
+                timers.repair,
+                timers.scan,
+                timers.pivot,
+                timers.iterations,
+            );
+        }
+        let counters = core.sat.counters();
+        let progress = core.sat.take_progress();
         let mut stats = SolverStats {
             bool_vars: self.n_bools as usize,
             real_vars: self.n_reals as usize,
             assertions: self.assertions.len(),
-            sat_vars: live.sat.num_vars(),
-            clauses: live.encoder.clauses,
-            clause_lits: live.encoder.clause_lits,
-            atoms: live.encoder.num_atoms(),
-            simplex_vars: live.simplex.num_vars(),
-            simplex_rows: live.simplex.num_rows(),
-            tableau_entries: live.simplex.tableau_entries(),
-            pivots: live.simplex.pivots().saturating_sub(entry_pivots),
-            refactorizations: live
-                .simplex
-                .refactorizations()
-                .saturating_sub(entry_refactors),
-            decisions: counters.decisions.saturating_sub(entry.decisions),
-            propagations: counters.propagations.saturating_sub(entry.propagations),
-            conflicts: counters.conflicts.saturating_sub(entry.conflicts),
+            sat_vars: core.sat.num_vars(),
+            clauses: core.encoder.clauses,
+            clause_lits: core.encoder.clause_lits,
+            atoms: core.encoder.num_atoms(),
+            simplex_vars: core.simplex.num_vars(),
+            simplex_rows: core.simplex.num_rows(),
+            tableau_entries: core.simplex.tableau_entries(),
+            pivots: core.simplex.pivots().saturating_sub(entry.pivots),
+            refactorizations: refactors,
+            decisions: counters.decisions.saturating_sub(entry.sat.decisions),
+            propagations: counters.propagations.saturating_sub(entry.sat.propagations),
+            conflicts: counters.conflicts.saturating_sub(entry.sat.conflicts),
             theory_conflicts: counters
                 .theory_conflicts
-                .saturating_sub(entry.theory_conflicts),
-            restarts: counters.restarts.saturating_sub(entry.restarts),
+                .saturating_sub(entry.sat.theory_conflicts),
+            restarts: counters.restarts.saturating_sub(entry.sat.restarts),
+            // Lifetime-cumulative on the persistent core.
             learned_clauses: counters.learned_clauses,
-            clause_db: live.sat.num_clauses() as u64,
-            bound_asserts: live.simplex.bound_asserts().saturating_sub(entry_bounds),
-            theory_checks: live.simplex.theory_checks().saturating_sub(entry_checks),
-            retained_clauses,
+            clause_db: core.sat.num_clauses() as u64,
+            bound_asserts: core
+                .simplex
+                .bound_asserts()
+                .saturating_sub(entry.bound_asserts),
+            theory_checks: core
+                .simplex
+                .theory_checks()
+                .saturating_sub(entry.theory_checks),
+            // What a reused core already held *is* the warm-start payoff:
+            // learned clauses carried in, and pivots whose work the
+            // retained basis embodies (zero in a throwaway snapshot).
+            retained_clauses: if reused { entry.sat.learned_clauses } else { 0 },
             deleted_clauses,
-            warm_pivots_saved: if core_reused { entry_pivots } else { 0 },
-            base_cache_hit: core_reused,
+            warm_pivots_saved: if reused { entry.pivots } else { 0 },
+            base_cache_hit: reused,
             proof_steps: 0,
             certified: false,
             lint_errors: lint_report.count(Severity::Error),
@@ -1029,28 +881,34 @@ impl Solver {
             lint_infos: lint_report.count(Severity::Info),
             solve_time: search_done.saturating_sub(start),
             encode_time: encode_done.saturating_sub(start),
-            search_time: search_done.saturating_sub(encode_done),
+            search_time,
             progress,
+        };
+        // The persistent core goes back before certification, so a
+        // certification error leaves it in place; a throwaway clone ends
+        // its life here.
+        let held;
+        let core: &Core = if persistent {
+            self.live.insert(core)
+        } else {
+            held = core;
+            &held
         };
         let result = match outcome {
             SatOutcome::Unsat => {
                 if full {
                     let _sp_certify = prof.as_ref().map(|p| p.span("certify"));
-                    // The session-long proof log stays attached (a later
-                    // check keeps appending to it), so borrow and clone
-                    // rather than take.
-                    let proof = live
+                    let proof = core
                         .sat
                         .proof()
-                        .cloned()
                         .ok_or_else(|| CertifyError::new("proof logging produced no proof"))?;
                     stats.proof_steps = proof.num_derivations() as u64;
-                    let ctx = live.simplex.certificate_context();
-                    if live.sat.failed_assumptions().is_empty() {
-                        check_unsat_proof(&proof, &ctx)?;
+                    let ctx = core.simplex.certificate_context();
+                    if core.sat.failed_assumptions().is_empty() {
+                        check_unsat_proof(proof, &ctx)?;
                     } else {
                         let negated: Vec<Lit> = sat_assumptions.iter().map(|&l| !l).collect();
-                        check_assumption_unsat_proof(&proof, &ctx, &negated)?;
+                        check_assumption_unsat_proof(proof, &ctx, &negated)?;
                     }
                     stats.certified = true;
                 }
@@ -1060,10 +918,10 @@ impl Solver {
                 // Read the model before anything resets the core (the
                 // trail and tableau stay put until the next check's
                 // preamble).
-                let reals = live.simplex.concrete_model();
+                let reals = core.simplex.concrete_model();
                 let bools: Vec<bool> = (0..self.n_bools)
-                    .map(|i| match live.encoder.lookup_bool(BoolVar(i)) {
-                        Some(v) => live.sat.value(v) == LBool::True,
+                    .map(|i| match core.encoder.lookup_bool(BoolVar(i)) {
+                        Some(v) => core.sat.value(v) == LBool::True,
                         None => false,
                     })
                     .collect();
@@ -1090,9 +948,42 @@ impl Solver {
             }
             SatOutcome::Unknown(why) => SatResult::Unknown(why),
         };
+        // Final wall clock includes certification; still one read.
         stats.solve_time = self.clock.now().saturating_sub(start);
         self.last_stats = Some(stats);
         Ok(result)
+    }
+
+    /// Records the stats of a check interrupted while encoding and answers
+    /// `Unknown`. The whole check was encoding, so one clock read covers
+    /// both intervals; `clone` is a partially encoded throwaway clone,
+    /// whose sizes are reported.
+    fn interrupted(
+        &mut self,
+        start: std::time::Duration,
+        lint_report: &LintReport,
+        reused: bool,
+        clone: Option<&Core>,
+        why: Interrupt,
+    ) -> SatResult {
+        let mut stats = SolverStats::default();
+        stats.bool_vars = self.n_bools as usize;
+        stats.real_vars = self.n_reals as usize;
+        stats.assertions = self.assertions.len();
+        if let Some(core) = clone {
+            stats.sat_vars = core.sat.num_vars();
+            stats.clauses = core.encoder.clauses;
+            stats.clause_lits = core.encoder.clause_lits;
+            stats.atoms = core.encoder.num_atoms();
+        }
+        stats.base_cache_hit = reused;
+        stats.lint_errors = lint_report.count(Severity::Error);
+        stats.lint_warnings = lint_report.count(Severity::Warning);
+        stats.lint_infos = lint_report.count(Severity::Info);
+        stats.encode_time = self.clock.now().saturating_sub(start);
+        stats.solve_time = stats.encode_time;
+        self.last_stats = Some(stats);
+        SatResult::Unknown(why)
     }
 }
 
@@ -1101,6 +992,7 @@ mod tests {
     use super::*;
     use crate::expr::LinExpr;
     use crate::formula::LinExprCmp;
+    use crate::rng::Pcg32;
 
     fn r(n: i64, d: i64) -> Rational {
         Rational::new(n, d)
@@ -1828,12 +1720,119 @@ mod tests {
         s.assert_formula(&Formula::at_most(ps, 3));
         s.set_budget(Budget::with_timeout(std::time::Duration::ZERO));
         let result = s.check_assuming(&[]);
-        assert!(matches!(result, SatResult::Unknown(Interrupt::Timeout)), "{result:?}");
+        assert!(
+            matches!(result, SatResult::Unknown(Interrupt::Timeout)),
+            "{result:?}"
+        );
         assert_eq!(s.last_stats().expect("stats").decisions, 0);
         s.set_budget(Budget::unlimited());
         assert!(s.check_assuming(&[]).is_sat());
         // The interrupted core was dropped, so this was a cold rebuild.
         assert!(!s.last_stats().expect("stats").base_cache_hit);
+
+        // A warm core interrupted mid-encode still reports its reuse.
+        let mut s = Solver::new();
+        let x = s.new_real();
+        s.assert_formula(&LinExpr::var(x).ge(LinExpr::from(1)));
+        assert!(s.check_assuming(&[]).is_sat());
+        let ps: Vec<Formula> = (0..200).map(|_| Formula::var(s.new_bool())).collect();
+        s.assert_formula(&Formula::at_most(ps, 3));
+        s.set_budget(Budget::with_timeout(std::time::Duration::ZERO));
+        let result = s.check_assuming(&[]);
+        assert!(
+            matches!(result, SatResult::Unknown(Interrupt::Timeout)),
+            "{result:?}"
+        );
+        assert!(s.last_stats().expect("stats").base_cache_hit);
+        s.set_budget(Budget::unlimited());
+        assert!(s.check_assuming(&[]).is_sat());
+        assert!(!s.last_stats().expect("stats").base_cache_hit);
+    }
+
+    /// A random clause over the given variables: one to three literals,
+    /// each a Boolean literal or a linear atom with small integer
+    /// coefficients.
+    fn random_clause(rng: &mut Pcg32, bools: &[BoolVar], reals: &[RealVar]) -> Formula {
+        let lits = (0..rng.range_usize(1, 4))
+            .map(|_| {
+                if rng.below(3) == 0 {
+                    return Formula::lit(bools[rng.below(bools.len())], rng.flip());
+                }
+                let mut e = LinExpr::zero();
+                for &x in reals {
+                    e.add_term(r(rng.range_i64(-3, 3), 1), x);
+                }
+                let k = LinExpr::from(rng.range_i64(-4, 4));
+                match rng.below(3) {
+                    0 => e.le(k),
+                    1 => e.ge(k),
+                    _ => e.lt(k),
+                }
+            })
+            .collect();
+        Formula::or(lits)
+    }
+
+    /// `check` is history-free: a solver that ran random push/assert/
+    /// check/pop rounds between its base assertions answers the final
+    /// scoped query exactly like one that never did — same verdict, same
+    /// model, same deterministic counters. Timing-stripped campaign
+    /// reports matching at every worker count rests on this.
+    #[test]
+    fn check_is_history_free() {
+        let (mut sats, mut unsats) = (0, 0);
+        for seed in 0..24u64 {
+            let mut rng = Pcg32::new(seed);
+            let declare = |s: &mut Solver| {
+                let bools: Vec<BoolVar> = (0..4).map(|_| s.new_bool()).collect();
+                let reals: Vec<RealVar> = (0..3).map(|_| s.new_real()).collect();
+                (bools, reals)
+            };
+            let mut a = Solver::new();
+            let mut b = Solver::new();
+            let (bools, reals) = declare(&mut a);
+            declare(&mut b);
+            let base: Vec<Formula> = (0..8)
+                .map(|_| random_clause(&mut rng, &bools, &reals))
+                .collect();
+            let query: Vec<Formula> = (0..4)
+                .map(|_| random_clause(&mut rng, &bools, &reals))
+                .collect();
+            for f in &base {
+                a.assert_formula(f);
+                b.assert_formula(f);
+                for _ in 0..rng.below(3) {
+                    a.push();
+                    for _ in 0..rng.range_usize(1, 4) {
+                        a.assert_formula(&random_clause(&mut rng, &bools, &reals));
+                    }
+                    let _ = a.check();
+                    a.pop().unwrap();
+                }
+            }
+            for s in [&mut a, &mut b] {
+                s.push();
+                for f in &query {
+                    s.assert_formula(f);
+                }
+            }
+            match (a.check(), b.check()) {
+                (SatResult::Sat(ma), SatResult::Sat(mb)) => {
+                    assert_eq!(ma.bools, mb.bools, "seed {seed}");
+                    assert_eq!(ma.reals, mb.reals, "seed {seed}");
+                    sats += 1;
+                }
+                (SatResult::Unsat, SatResult::Unsat) => unsats += 1,
+                (ra, rb) => panic!("seed {seed}: {ra:?} vs {rb:?}"),
+            }
+            let counters = |s: &Solver| {
+                let st = s.last_stats().expect("stats");
+                let c = (st.decisions, st.propagations, st.conflicts);
+                (st.pivots, st.theory_checks, st.bound_asserts, c)
+            };
+            assert_eq!(counters(&a), counters(&b), "seed {seed}");
+        }
+        assert!(sats > 0 && unsats > 0, "{sats} sat / {unsats} unsat");
     }
 
     /// An expired deadline in the *search* loop leaves the persistent core

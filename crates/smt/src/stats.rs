@@ -96,14 +96,15 @@ pub struct SolverStats {
     /// Full simplex consistency checks.
     pub theory_checks: u64,
     /// Learned clauses carried into this check from earlier checks on the
-    /// same persistent core (zero on the clone-per-check path).
+    /// same persistent core (zero when the check solved a throwaway clone
+    /// of the template).
     pub retained_clauses: u64,
     /// Clauses hard-deleted this check by activation-literal retirement
-    /// (zero on the clone-per-check path).
+    /// (zero when the check solved a throwaway clone).
     pub deleted_clauses: u64,
     /// Simplex pivots whose work the warm-started basis already embodied
-    /// at check entry (zero on the clone-per-check path, which rebuilds
-    /// the tableau from scratch).
+    /// at check entry (zero when the check solved a throwaway clone, whose
+    /// never-solved template has pivoted nothing).
     pub warm_pivots_saved: u64,
     /// Whether this check reused an already-encoded base (the solver's
     /// incremental base-encoding cache).

@@ -79,10 +79,11 @@ pub struct PhaseMetrics {
     /// Clause-database size (original + learned) at end of search.
     pub clause_db: u64,
     /// Learned clauses carried in from earlier checks on a persistent
-    /// incremental core (zero on the clone-per-check path).
+    /// incremental core (zero for checks on a throwaway clone of the
+    /// template).
     pub retained_clauses: u64,
-    /// Clauses hard-deleted by activation-literal retirement (zero on the
-    /// clone-per-check path).
+    /// Clauses hard-deleted by activation-literal retirement (zero for
+    /// checks on a throwaway clone).
     pub deleted_clauses: u64,
     /// Simplex pivot operations.
     pub pivots: u64,
@@ -91,7 +92,7 @@ pub struct PhaseMetrics {
     /// Full simplex consistency checks.
     pub theory_checks: u64,
     /// Simplex pivots already embodied by the warm-started basis at check
-    /// entry (zero on the clone-per-check path).
+    /// entry (zero for checks on a throwaway clone).
     pub warm_pivots_saved: u64,
 }
 
