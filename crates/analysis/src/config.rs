@@ -9,9 +9,9 @@
 use crate::rules::{Allow, Config, PollSite};
 
 /// Library roots scanned for `.rs` sources, relative to the workspace
-/// root. `crates/bench` is excluded (off-workspace, criterion-based)
-/// and `tests/` directories are never walked — the rules govern shipped
-/// library and binary code.
+/// root: every workspace crate's `src/` plus the root package. `tests/`
+/// directories are never walked — the rules govern shipped library and
+/// binary code.
 const ROOTS: &[&str] = &[
     "crates/analysis/src",
     "crates/campaign/src",

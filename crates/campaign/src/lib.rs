@@ -19,8 +19,8 @@
 //! * [`run_traced`] additionally streams [`sta_smt::TraceEvent`]s into a
 //!   shared sink as jobs finish (the `--trace` JSONL backend).
 //!
-//! The `sta campaign` CLI subcommand and every `sta-bench` binary are
-//! thin builders over this crate.
+//! The `sta campaign` CLI subcommand and the paper regenerators behind
+//! `sta reproduce` ([`paper`]) are thin builders over this crate.
 //!
 //! [`base encoding`]: sta_core::attack::VerifySession
 //!
@@ -46,6 +46,7 @@
 
 pub mod bench;
 pub mod histogram;
+pub mod paper;
 pub mod pool;
 pub mod report;
 pub mod spec;

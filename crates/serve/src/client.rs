@@ -7,18 +7,14 @@
 
 use crate::net;
 use sta_smt::json::{parse, Json};
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader};
 
 /// Sends one request line to `addr` and returns every line the service
 /// emitted for it, the final `response`/`error` line last.
 pub fn request(addr: &str, line: &str) -> Result<Vec<String>, String> {
     let mut stream =
         net::connect(addr).map_err(|e| format!("cannot connect to {addr:?}: {e}"))?;
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|_| stream.write_all(b"\n"))
-        .and_then(|_| stream.flush())
-        .map_err(|e| format!("cannot send request: {e}"))?;
+    net::write_line(&mut stream, line).map_err(|e| format!("cannot send request: {e}"))?;
     let reader = BufReader::new(
         stream.try_clone().map_err(|e| format!("cannot clone stream: {e}"))?,
     );
@@ -51,11 +47,7 @@ pub fn stream(
 ) -> Result<Option<String>, String> {
     let mut stream =
         net::connect(addr).map_err(|e| format!("cannot connect to {addr:?}: {e}"))?;
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|_| stream.write_all(b"\n"))
-        .and_then(|_| stream.flush())
-        .map_err(|e| format!("cannot send request: {e}"))?;
+    net::write_line(&mut stream, line).map_err(|e| format!("cannot send request: {e}"))?;
     let reader = BufReader::new(
         stream.try_clone().map_err(|e| format!("cannot clone stream: {e}"))?,
     );

@@ -141,6 +141,19 @@ impl Write for Stream {
     }
 }
 
+/// Writes `line` and its `'\n'` terminator with a single `write_all`,
+/// then flushes: the one JSONL framing routine of both server and
+/// client. One write per line matters on TCP — a line and its newline
+/// sent as two small segments leave the second held back by Nagle's
+/// algorithm until the peer's delayed ACK, about 40 ms per reply.
+pub fn write_line(w: &mut impl Write, line: &str) -> io::Result<()> {
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    w.write_all(&framed)?;
+    w.flush()
+}
+
 /// Dials `addr` with the same `/`-means-unix grammar as [`Listener::bind`].
 pub fn connect(addr: &str) -> io::Result<Stream> {
     if is_unix_addr(addr) {
@@ -160,4 +173,37 @@ fn connect_unix(_path: &str) -> io::Result<Stream> {
         io::ErrorKind::Unsupported,
         "unix socket paths are unsupported on this platform; use host:port",
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sink that records every `write` call it receives.
+    #[derive(Default)]
+    struct Counting {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_frames_each_line_in_one_write() {
+        let mut sink = Counting::default();
+        write_line(&mut sink, "{\"id\":\"a\"}").unwrap();
+        write_line(&mut sink, "").unwrap();
+        assert_eq!(sink.writes, [b"{\"id\":\"a\"}\n".to_vec(), b"\n".to_vec()]);
+        assert_eq!(sink.flushes, 2);
+    }
 }

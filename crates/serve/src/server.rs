@@ -46,7 +46,7 @@ use sta_smt::json::escape_into;
 use sta_smt::{Budget, Clock, Interrupt, Phase, SharedSink, TraceEvent, TraceSink};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -178,23 +178,11 @@ impl ServerState {
 
 /// Writes one line (plus newline) under the connection's writer lock and
 /// flushes it, so a line is never interleaved with another job's output.
-/// Write errors mean the client is gone; the job's work is already done
-/// either way, so they are ignored.
-fn write_line(writer: &Mutex<net::Stream>, line: &str) {
-    let mut w = lock(writer);
-    let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
-    let _ = w.flush();
-}
-
-/// Like [`write_line`] but reports whether the write reached the socket —
-/// the `watch` loop's only way to notice a departed client.
-fn try_write_line(writer: &Mutex<net::Stream>, line: &str) -> bool {
-    let mut w = lock(writer);
-    w.write_all(line.as_bytes())
-        .and_then(|_| w.write_all(b"\n"))
-        .and_then(|_| w.flush())
-        .is_ok()
+/// Returns whether the line reached the socket — the `watch` loop's only
+/// way to notice a departed client. Other callers ignore it: a failed
+/// write means the client is gone, and the job's work is done either way.
+fn write_line(writer: &Mutex<net::Stream>, line: &str) -> bool {
+    net::write_line(&mut *lock(writer), line).is_ok()
 }
 
 /// Which solver-backed operation a submitted job runs.
@@ -498,7 +486,7 @@ fn watch_loop(
             write_line(writer, &out);
             return;
         }
-        if !try_write_line(writer, &protocol::watch_line(id, seq, &snap.to_json())) {
+        if !write_line(writer, &protocol::watch_line(id, seq, &snap.to_json())) {
             return;
         }
         seq += 1;

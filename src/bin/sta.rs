@@ -19,6 +19,8 @@
 //! sta bench [--suite S] [--reps N] [--jobs N] [--out FILE]
 //!           [--baseline FILE] [--against FILE] [--threshold PCT]
 //!                                      perf-trajectory harness
+//! sta reproduce <case-study|fig4|fig5|table4|ablation> [--full] [--jobs N]
+//!                                      regenerate the paper's evaluation
 //! sta lint [--json] [--fix-allowlist] [--root DIR]
 //!                                      in-tree invariant analyzer
 //! sta top <addr> [--interval-ms MS] [--once]
@@ -80,7 +82,7 @@
 //! | 3 | undecided: the solver's wall-clock budget ran out (`unknown`), or at least one campaign job did — **not** the same as unsat |
 
 use sta::campaign::pool::{run_with as run_campaign, RunOptions};
-use sta::campaign::{bench, CampaignSpec};
+use sta::campaign::{bench, paper, CampaignSpec};
 use sta::core::analytics::ThreatAnalyzer;
 use sta::core::attack::{AttackModel, AttackOutcome, AttackVerifier, StateTarget};
 use sta::core::synthesis::{SynthesisConfig, Synthesizer};
@@ -181,6 +183,7 @@ fn usage() -> ExitCode {
          [--simplex auto|dense|revised] [--trace FILE] [--metrics] [--profile]\n  \
          sta bench [--suite smoke|sweep|cegis|serve|scale] [--reps N] [--jobs N] [--out FILE] \
          [--baseline FILE] [--against FILE] [--threshold PCT]\n  \
+         sta reproduce case-study|fig4|fig5|table4|ablation [--full] [--jobs N]\n  \
          sta serve --listen <path|host:port> [--jobs N] [--max-sessions K] \
          [--queue N] [--drain-ms MS]\n  \
          sta client <addr> ping|shutdown [--drain-ms MS]\n  \
@@ -209,6 +212,16 @@ fn parse_incremental(v: &str) -> Result<bool, String> {
 fn parse_simplex(v: &str) -> Result<SimplexMode, String> {
     SimplexMode::parse(v)
         .ok_or_else(|| format!("--simplex needs auto|dense|revised, got {v:?}"))
+}
+
+/// Parses the value of a `--jobs N` flag: a worker count of at least 1.
+fn parse_jobs(v: Option<&String>) -> Result<usize, String> {
+    let v = v.ok_or("--jobs needs a value")?;
+    match v.parse::<usize>() {
+        Ok(0) => Err("--jobs must be at least 1".into()),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("bad --jobs value {v:?}")),
+    }
 }
 
 fn parse_certify(v: &str) -> Result<CertifyLevel, String> {
@@ -549,13 +562,7 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
             }
             "--metrics" => metrics = true,
             "--profile" => profile = true,
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                jobs = v.parse().map_err(|_| "bad --jobs value")?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
+            "--jobs" => jobs = parse_jobs(it.next())?,
             "--timeout-ms" => {
                 let v = it.next().ok_or("--timeout-ms needs a value")?;
                 timeout_ms =
@@ -661,13 +668,7 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
                     return Err("--reps must be at least 1".into());
                 }
             }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                jobs = v.parse().map_err(|_| "bad --jobs value")?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
+            "--jobs" => jobs = parse_jobs(it.next())?,
             "--out" => {
                 out_file = Some(it.next().ok_or("--out needs a file")?.clone());
             }
@@ -737,6 +738,24 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
         }
         println!("no regression vs {path} (threshold {threshold_pct}%)");
     }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `sta reproduce <target> [--full] [--jobs N]` — regenerate one object
+/// of the paper's evaluation (see `sta::campaign::paper`).
+fn cmd_reproduce(args: &[String]) -> Result<ExitCode, String> {
+    let target = args.first().ok_or("reproduce needs a target")?;
+    let mut full = false;
+    let mut jobs: usize = 1;
+    let mut it = args[1..].iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--full" => full = true,
+            "--jobs" => jobs = parse_jobs(it.next())?,
+            other => return Err(format!("unknown reproduce flag {other:?}")),
+        }
+    }
+    paper::reproduce(target, full, jobs, &mut |text| println!("{text}"))?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -811,13 +830,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             "--listen" => {
                 listen = Some(it.next().ok_or("--listen needs an address")?.clone());
             }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                config_jobs = v.parse().map_err(|_| "bad --jobs value")?;
-                if config_jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
+            "--jobs" => config_jobs = parse_jobs(it.next())?,
             "--max-sessions" => {
                 let v = it.next().ok_or("--max-sessions needs a value")?;
                 max_sessions = v.parse().map_err(|_| "bad --max-sessions value")?;
@@ -1147,6 +1160,7 @@ fn main() -> ExitCode {
         "synthesize" => cmd_synthesize(rest),
         "campaign" => cmd_campaign(rest),
         "bench" => cmd_bench(rest),
+        "reproduce" => cmd_reproduce(rest),
         "serve" => cmd_serve(rest),
         "client" => cmd_client(rest),
         "top" => cmd_top(rest),

@@ -42,8 +42,8 @@
 //! ```
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and
-//! `crates/bench` for the harness regenerating every figure and table of
-//! the paper's evaluation.
+//! [`campaign::paper`] (the `sta reproduce` subcommand) for the
+//! regenerators of every figure and table of the paper's evaluation.
 
 pub use sta_analysis as analysis;
 pub use sta_campaign as campaign;

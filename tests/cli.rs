@@ -137,6 +137,46 @@ fn campaign_bad_jobs_flag_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// `sta reproduce` refuses an unknown target and a zero or non-numeric
+/// `--jobs` as usage errors (exit 2) before any solver work starts.
+#[test]
+fn reproduce_usage_errors_exit_2() {
+    for args in [
+        &["reproduce", "fig6"][..],
+        &["reproduce"],
+        &["reproduce", "case-study", "--jobs", "0"],
+        &["reproduce", "case-study", "--jobs", "x"],
+        &["reproduce", "case-study", "--jobs"],
+        &["reproduce", "case-study", "--verbose"],
+    ] {
+        let out = sta(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stdout(&out).is_empty(), "{args:?}");
+    }
+    let out = sta(&["reproduce", "fig6"]);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("case-study, fig4, fig5"));
+}
+
+/// `sta reproduce case-study` regenerates the paper's §III-I Objective 2
+/// meters and the §IV-E Scenario 2 budget-5 architecture.
+#[test]
+fn reproduce_case_study_prints_paper_results() {
+    let out = sta(&["reproduce", "case-study", "--jobs", "2"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = stdout(&out);
+    assert!(
+        text.contains("baseline (paper: meters 12,32,39,46,53): sat\n   measurements: [12, 32, 39, 46, 53]"),
+        "{text}"
+    );
+    assert!(text.contains("   replay: residual"), "{text}");
+    assert!(
+        text.contains(
+            "Scenario 2 (full knowledge, budget 5; paper: {1,3,6,8,9}): secured buses {1, 3, 6, 8, 9}"
+        ),
+        "{text}"
+    );
+}
+
 /// Satellite: `--incremental` takes exactly `on` or `off`; anything else
 /// is a usage error (exit 2) on both synthesize and campaign, and the
 /// message names the flag.

@@ -46,6 +46,10 @@
 #  12. telemetry overhead: the serve bench's warm-verify median with the
 #      measurement plane on must stay within 1.5x + 500us of the
 #      telemetry-off median — observation must stay cheap
+#  13. paper regeneration: `sta reproduce case-study` prints byte-identical
+#      verdicts, witnesses, replays and architectures at 1 and 4 workers,
+#      including the five §IV-E architecture lines, and `sta reproduce
+#      table4` exits 0 (the long fig4/fig5 sweeps stay out of the gate)
 #
 # No network access is required; the script fails fast on the first error.
 set -euo pipefail
@@ -115,6 +119,27 @@ if [ "$status" -ne 1 ]; then
     echo "expected certified unsat (exit 1), got exit $status" >&2
     exit 1
 fi
+
+echo "==> paper regeneration: case-study verdicts at 1 and 4 workers, table4"
+case_study="$(mktemp)"
+./target/release/sta reproduce case-study --jobs 1 > "$case_study"
+./target/release/sta reproduce case-study --jobs 4 | cmp -s - "$case_study" || {
+    echo "sta reproduce case-study output differs between 1 and 4 workers" >&2
+    exit 1
+}
+for line in \
+    "Scenario 1 (limited attacker, budget 4; paper: {1,6,7,10}): secured buses {1, 6, 8, 9}" \
+    "Scenario 2 (full knowledge, budget 4; paper: none): no architecture" \
+    "Scenario 2 (full knowledge, budget 5; paper: {1,3,6,8,9}): secured buses {1, 3, 6, 8, 9}" \
+    "Scenario 3 (+ topology, budget 4; paper at 5: none): no architecture" \
+    "Scenario 3 (+ topology, budget 5; paper needs 6: {1,4,6,8,10,14}): secured buses {1, 3, 6, 8, 9}"; do
+    grep -qF "$line" "$case_study" || {
+        echo "sta reproduce case-study is missing the §IV-E line: $line" >&2
+        exit 1
+    }
+done
+rm -f "$case_study"
+./target/release/sta reproduce table4 >/dev/null
 
 echo "==> campaign smoke: certified 33-job sweep, 4 workers, one forced timeout"
 report1="$(mktemp)" report4="$(mktemp)" trace4="$(mktemp)"
